@@ -736,33 +736,6 @@ impl Executor {
         Ok(())
     }
 
-    /// [`Executor::for_each_weighted_named`] over a CSR-style segmented
-    /// layout: launches `offsets.len() - 1` virtual threads where entry
-    /// `i`'s cost is its segment length `offsets[i + 1] - offsets[i]`.
-    pub fn for_each_segmented_cost_named<F>(&self, name: &'static str, offsets: &[usize], kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let n = offsets.len().saturating_sub(1);
-        self.for_each_weighted_named(name, n, |i| (offsets[i + 1] - offsets[i]) as u64, kernel);
-    }
-
-    /// Fallible [`Executor::for_each_segmented_cost_named`]; see
-    /// [`Executor::try_for_each_weighted_named`].
-    pub fn try_for_each_segmented_cost_named<F>(
-        &self,
-        name: &'static str,
-        offsets: &[usize],
-        kernel: F,
-    ) -> Result<(), LaunchError>
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.check_launch_fault(name)?;
-        self.for_each_segmented_cost_named(name, offsets, kernel);
-        Ok(())
-    }
-
     fn dispatch_indexed<F>(&self, n: usize, kernel: F)
     where
         F: Fn(usize) + Sync,
@@ -1102,6 +1075,15 @@ impl Executor {
                 body(worker_id, start..end);
             }
         });
+    }
+
+    /// Records a launch of `name` whose work a primitive ran inline on the
+    /// calling thread because its grid fits one chunk. Launch counts then
+    /// name the primitive's logical kernels, the same at every worker count
+    /// and grid size, and the simulated launch overhead is paid alike.
+    pub(crate) fn record_inline_launch(&self, name: &'static str, n: usize) {
+        self.inner.stats.record_launch(name, n);
+        self.pay_launch_overhead();
     }
 
     /// The number of chunks [`Executor::for_each_chunk`] will produce for an
@@ -1760,28 +1742,6 @@ mod tests {
         exec.set_fault_injector(None);
         exec.try_for_each_weighted_named("weighted_ok", 100_000, |i| i as u64, |_| {})
             .unwrap();
-        exec.try_for_each_segmented_cost_named("seg_ok", &[0, 4, 9, 9, 20], |_| {})
-            .unwrap();
-    }
-
-    #[test]
-    fn segmented_cost_launch_covers_all_segments() {
-        let exec = Executor::new(3);
-        exec.set_schedule(Schedule::Morsel { grain: 64 });
-        exec.set_sequential_grid_limit(0);
-        let n = 10_000usize;
-        // Skewed CSR-style offsets: segment i has length i % 17.
-        let mut offsets = vec![0usize; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + i % 17;
-        }
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        exec.for_each_segmented_cost_named("segments", &offsets, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        exec.set_sequential_grid_limit(DEFAULT_SEQUENTIAL_GRID_LIMIT);
-        exec.set_schedule(Schedule::Auto);
     }
 
     #[test]

@@ -65,6 +65,8 @@ where
     let chunks = exec.num_chunks(n);
     let dst = UninitSlice::for_vec(out, n);
     if chunks == 1 {
+        exec.record_inline_launch("scan_partials", n);
+        exec.record_inline_launch("scan_write_prefixes", n);
         let mut acc = identity;
         for (i, &v) in input.iter().enumerate() {
             // SAFETY: sequential pass writes each index exactly once.
@@ -164,6 +166,7 @@ pub fn exclusive_scan_into(exec: &Executor, input: &[usize], out: &mut Vec<usize
     let chunks = exec.num_chunks(n);
     let dst = UninitSlice::for_vec(out, n);
     if chunks == 1 {
+        exec.record_inline_launch("scan_lookback", n);
         let mut acc = 0usize;
         for (i, &v) in input.iter().enumerate() {
             // SAFETY: sequential pass writes each index exactly once.
@@ -283,8 +286,12 @@ where
     Op: Fn(T, T) -> T + Sync,
 {
     let n = input.len();
+    if n == 0 {
+        return identity;
+    }
     let chunks = exec.num_chunks(n);
-    if chunks <= 1 {
+    if chunks == 1 {
+        exec.record_inline_launch("reduce_partials", n);
         return input.iter().fold(identity, |acc, &v| op(acc, v));
     }
     let mut partials = vec![identity; chunks];

@@ -6,17 +6,7 @@
 
 use crate::executor::Executor;
 use crate::fault::LaunchError;
-use crate::scan::exclusive_scan;
 use crate::shared::{SharedSlice, UninitSlice};
-
-/// Keeps `data[i]` where `flags[i]` is true. Panics if lengths differ.
-pub fn select_flagged<T>(exec: &Executor, data: &[T], flags: &[bool]) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-{
-    assert_eq!(data.len(), flags.len(), "data/flags length mismatch");
-    select_if(exec, data, |i, _| flags[i])
-}
 
 /// Counts elements satisfying the predicate (no output materialised).
 pub fn select_count<T, P>(exec: &Executor, data: &[T], pred: P) -> usize
@@ -56,8 +46,7 @@ where
         out.clear();
         return 0;
     }
-    let counts = per_chunk_counts(exec, data, &pred);
-    let (offsets, total) = exclusive_scan(exec, &counts);
+    let (offsets, total) = chunk_offsets(&per_chunk_counts(exec, data, &pred));
     let dst = UninitSlice::for_vec(out, total);
     exec.for_each_chunk_named("select_emit", n, |chunk_id, range| {
         let mut cursor = offsets[chunk_id];
@@ -85,8 +74,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let counts = per_chunk_counts(exec, data, &pred);
-    let (offsets, total) = exclusive_scan(exec, &counts);
+    let (offsets, total) = chunk_offsets(&per_chunk_counts(exec, data, &pred));
     let mut out = vec![0usize; total];
     {
         let out_shared = SharedSlice::new(&mut out);
@@ -120,6 +108,22 @@ where
     Ok(select_indices(exec, data, pred))
 }
 
+/// Exclusive prefix sums of the per-chunk survivor counts, plus their
+/// total. There is one count per worker at most, so the launcher sums them
+/// itself, as the two-phase scan does its chunk aggregates: a select is two
+/// launches (count, emit) at every worker count.
+fn chunk_offsets(counts: &[usize]) -> (Vec<usize>, usize) {
+    let mut total = 0;
+    let offsets = counts
+        .iter()
+        .map(|&c| {
+            total += c;
+            total - c
+        })
+        .collect();
+    (offsets, total)
+}
+
 fn per_chunk_counts<T, P>(exec: &Executor, data: &[T], pred: &P) -> Vec<usize>
 where
     T: Copy + Send + Sync,
@@ -145,14 +149,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flagged_select_small() {
-        let exec = Executor::new(4);
-        let data = [10u32, 20, 30, 40, 50];
-        let flags = [true, false, true, false, true];
-        assert_eq!(select_flagged(&exec, &data, &flags), vec![10, 30, 50]);
-    }
 
     #[test]
     fn select_if_large_is_stable() {

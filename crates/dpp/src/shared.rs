@@ -76,6 +76,19 @@ impl<'a, T> SharedSlice<'a, T> {
         debug_assert!(index < self.len);
         unsafe { self.ptr.add(index).read() }
     }
+
+    /// The elements in `range` as one mutable slice — a virtual thread's
+    /// own span of the array.
+    ///
+    /// # Safety
+    /// `range` lies within `0..len()`, and no *other* virtual thread reads
+    /// or writes any index in it while the returned slice is alive.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn span(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
+    }
 }
 
 /// A shared view of the *spare capacity* of a `Vec`, for primitives that

@@ -155,7 +155,7 @@ pub struct ScheduleStats {
     /// counted in `pool_launches`.
     pub dynamic_launches: u64,
     /// Dynamic launches whose morsel boundaries were cut from caller-supplied
-    /// per-entry cost hints (`for_each_weighted*` / `for_each_segmented_cost*`).
+    /// per-entry cost hints (`for_each_weighted*`).
     /// Also counted in `dynamic_launches`.
     pub weighted_launches: u64,
     /// Work units claimed across pooled launches: morsels for dynamic
@@ -233,6 +233,11 @@ impl KernelStats {
 }
 
 /// Snapshot of an executor's launch counters.
+///
+/// The counters name logical kernels: a primitive that runs a small grid
+/// inline still records the launches it makes on the pool, so the whole
+/// snapshot is a property of the algorithm and its input, the same at
+/// every worker count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LaunchStats {
     /// Number of bulk-synchronous launches (one per "kernel").

@@ -30,6 +30,37 @@ fn exclusive_scan_matches_reference() {
 }
 
 #[test]
+fn launch_stats_do_not_depend_on_worker_count() {
+    // Launch counts name logical kernels: a primitive that runs a grid
+    // inline (one chunk) must count the same launches, with the same
+    // virtual threads, as one that spreads it over the pool.
+    prop::check(
+        "launch_stats_do_not_depend_on_worker_count",
+        |rng| gens::vec_u32(rng, 0..6000, 0..300),
+        shrinks::vec,
+        |input| {
+            let run = |workers: usize| {
+                let exec = Executor::new(workers);
+                let wide: Vec<usize> = input.iter().map(|&v| v as usize).collect();
+                gmc_dpp::exclusive_scan(&exec, &wide);
+                gmc_dpp::exclusive_scan_into(&exec, &wide, &mut Vec::new());
+                gmc_dpp::reduce(&exec, &wide);
+                gmc_dpp::select_if(&exec, input, |_, v| v % 3 == 0);
+                gmc_dpp::select_indices(&exec, input, |_, v| v > 100);
+                gmc_dpp::histogram_u32(&exec, input, 64);
+                gmc_dpp::sort_pairs_u32(&exec, input, input);
+                exec.stats()
+            };
+            let reference = run(1);
+            for workers in [2, 8] {
+                prop_assert_eq!(run(workers), reference.clone());
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
 fn inclusive_scan_matches_reference() {
     prop::check(
         "inclusive_scan_matches_reference",
@@ -155,43 +186,6 @@ fn reduce_matches_sum() {
 }
 
 #[test]
-fn segmented_argmax_matches_reference() {
-    prop::check(
-        "segmented_argmax_matches_reference",
-        |rng| gens::vec_usize(rng, 1..100, 0..20),
-        shrinks::vec,
-        |lengths| {
-            if lengths.is_empty() {
-                return Ok(()); // shrinking may drop below the 1-segment floor
-            }
-            let exec = Executor::new(3);
-            let mut offsets = vec![0usize];
-            for &l in lengths {
-                offsets.push(offsets.last().unwrap() + l);
-            }
-            let total = *offsets.last().unwrap();
-            let values: Vec<u32> = (0..total as u32)
-                .map(|i| i.wrapping_mul(2654435761) % 97)
-                .collect();
-            let result = gmc_dpp::segmented_argmax_by_key(&exec, total, &offsets, |i| values[i]);
-            for (s, r) in result.iter().enumerate() {
-                let segment = &values[offsets[s]..offsets[s + 1]];
-                match r {
-                    None => prop_assert!(segment.is_empty()),
-                    Some(idx) => {
-                        prop_assert_eq!(values[*idx], *segment.iter().max().unwrap());
-                        // Earliest index on ties.
-                        let local = idx - offsets[s];
-                        prop_assert!(segment[..local].iter().all(|&v| v < values[*idx]));
-                    }
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn histogram_counts_everything() {
     prop::check(
         "histogram_counts_everything",
@@ -204,37 +198,6 @@ fn histogram_counts_everything() {
             for (bin, &count) in hist.iter().enumerate() {
                 let expected = input.iter().filter(|&&v| v as usize == bin).count() as u64;
                 prop_assert_eq!(count, expected);
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn remove_empty_segments_preserves_content() {
-    prop::check(
-        "remove_empty_segments_preserves_content",
-        |rng| gens::vec_usize(rng, 1..200, 0..10),
-        shrinks::vec,
-        |lengths| {
-            if lengths.is_empty() {
-                return Ok(());
-            }
-            let exec = Executor::new(2);
-            let mut offsets = vec![0usize];
-            for &l in lengths {
-                offsets.push(offsets.last().unwrap() + l);
-            }
-            let (new_offsets, survivors) = gmc_dpp::remove_empty_segments(&exec, &offsets);
-            // Survivors are exactly the non-empty segments, in order.
-            let expected: Vec<usize> = (0..lengths.len()).filter(|&i| lengths[i] > 0).collect();
-            prop_assert_eq!(&survivors, &expected);
-            // New offsets describe the same lengths.
-            for (new_idx, &old_idx) in survivors.iter().enumerate() {
-                prop_assert_eq!(
-                    new_offsets[new_idx + 1] - new_offsets[new_idx],
-                    lengths[old_idx]
-                );
             }
             Ok(())
         },

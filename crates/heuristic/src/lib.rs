@@ -11,8 +11,8 @@
 //! Four variants are provided, exactly the four the paper evaluates:
 //!
 //! * [`HeuristicKind::SingleDegree`] / [`HeuristicKind::SingleCore`] — one
-//!   greedy pass from the highest-degree (or highest-core) vertex, filtering
-//!   the candidate list with a parallel select each step (§IV-A1).
+//!   greedy pass from the highest-degree (or highest-core) vertex (§IV-A1):
+//!   the multi-run pipeline with a single seed.
 //! * [`HeuristicKind::MultiDegree`] / [`HeuristicKind::MultiCore`] — `h`
 //!   greedy instances run simultaneously as segments of one data-parallel
 //!   computation (§IV-A2, Algorithm 1), seeded by the `h` best vertices.
@@ -27,11 +27,9 @@
 
 mod local_search;
 mod multi;
-mod single;
 
 pub use local_search::polish_clique;
 pub use multi::multi_run;
-pub use single::single_run;
 
 use gmc_dpp::{Device, DeviceOom};
 use gmc_graph::{kcore, Csr};
@@ -173,12 +171,12 @@ pub fn run_heuristic(
             } else {
                 graph.degrees()
             };
-            if kind.is_multi_run() {
-                let h = h.unwrap_or(graph.num_vertices());
-                multi_run(device, graph, &ordering_keys, h)?
+            let h = if kind.is_multi_run() {
+                h.unwrap_or(graph.num_vertices())
             } else {
-                single_run(device, graph, &ordering_keys)
-            }
+                1
+            };
+            multi_run(device, graph, &ordering_keys, h)?
         }
     };
     debug_assert!(graph.is_clique(&clique), "heuristic returned a non-clique");

@@ -230,3 +230,42 @@ fn launch_stats_are_deterministic() {
     };
     assert_eq!(run(1), run(5));
 }
+
+#[test]
+fn launch_stats_are_worker_independent_past_the_sequential_grid_limit() {
+    // Grids larger than the executor's sequential limit run on the pool at
+    // two or more workers and inline at one. Every primitive must still
+    // count its logical kernels, so the stats match launch for launch.
+    let graphs = [
+        generators::road_mesh(60, 70, 0.9, 0.3, 3),
+        generators::holme_kim(5000, 4, 0.7, 4),
+    ];
+    for graph in &graphs {
+        assert!(graph.num_vertices() > gpu_max_clique::dpp::DEFAULT_SEQUENTIAL_GRID_LIMIT);
+        for fused in [true, false] {
+            let run = |workers: usize| {
+                let device = Device::new(workers, usize::MAX);
+                // Pinned so a `GMC_SEQ_GRID` in the environment cannot move
+                // the graphs below the limit.
+                device
+                    .exec()
+                    .set_sequential_grid_limit(gpu_max_clique::dpp::DEFAULT_SEQUENTIAL_GRID_LIMIT);
+                MaxCliqueSolver::new(device)
+                    .fused(fused)
+                    .solve(graph)
+                    .unwrap()
+                    .stats
+                    .launches
+            };
+            let reference = run(1);
+            for workers in [2, 8] {
+                assert_eq!(
+                    run(workers),
+                    reference,
+                    "{} vertices, fused {fused}, workers {workers}",
+                    graph.num_vertices()
+                );
+            }
+        }
+    }
+}
